@@ -7,6 +7,11 @@ import (
 	"eventpf/internal/sim"
 )
 
+// thunk is a test-local Handler that runs a closure.
+type thunk func()
+
+func (f thunk) Handle(sim.Ticks, uint64, uint64) { f() }
+
 type stubLevel struct {
 	eng     *sim.Engine
 	latency sim.Ticks
@@ -18,7 +23,7 @@ func (s *stubLevel) Access(req *mem.Request) {
 	}
 	if h := req.Completer(); h != nil {
 		a := req.CompA
-		s.eng.After(s.latency, func() { h.Handle(s.eng.Now(), a, 0) })
+		s.eng.ScheduleAfter(s.latency, thunk(func() { h.Handle(s.eng.Now(), a, 0) }), 0, 0)
 	}
 }
 

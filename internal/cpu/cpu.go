@@ -242,7 +242,7 @@ func (c *Core) robPop() {
 	c.robN--
 }
 
-// tickHandler runs one core cycle; the recurring tick event carries it
+// tickHandler runs one core cycle; the engine's clock slot carries it
 // instead of a per-tick method-value closure.
 type tickHandler struct{ c *Core }
 
@@ -278,12 +278,14 @@ func (c *Core) Run(s Stream, onDone func()) {
 	c.scheduleTick(c.eng.Now())
 }
 
+// scheduleTick arms the engine's clock slot for the first core clock edge at
+// or after at, unless a tick is already pending or the core has finished.
 func (c *Core) scheduleTick(at sim.Ticks) {
 	if c.tickPending || c.done {
 		return
 	}
 	c.tickPending = true
-	c.eng.Schedule(c.cfg.Clock.NextEdge(at), c.tickH, 0, 0)
+	c.eng.ArmClock(c.cfg.Clock.NextEdge(at), c.tickH, 0)
 }
 
 func (c *Core) wake() { c.scheduleTick(c.eng.Now()) }
@@ -315,10 +317,7 @@ func (c *Core) tick() {
 	now := c.eng.Now()
 
 	if c.idleTick(now) {
-		// Nothing to do this cycle: keep the tick chain alive (so event
-		// ordering — and therefore timing — is bit-identical to a full
-		// tick that finds no work) but skip the window scans.
-		c.scheduleTick(now + c.cfg.Clock.Period)
+		c.skipIdle(now)
 		return
 	}
 	c.dirty = false
@@ -356,6 +355,30 @@ func (c *Core) idleTick(now sim.Ticks) bool {
 		return false
 	}
 	return c.stream == nil || c.robN >= c.cfg.ROB || now < c.stallUntil || c.redirectPending
+}
+
+// skipIdle re-arms the tick after an idle one, jumping over every cycle
+// that would be idle too. While idleTick holds, only another event can
+// change core state, and time itself matters only through stallUntil; so
+// every tick before the first clock edge at or after the earlier of the
+// next heap event and a future stallUntil would find idleTick true again
+// and do nothing but re-arm. The skipped ticks are charged to the engine's
+// sequence counter (ArmClock's skipped), which keeps every later
+// tie-break, Seq, Pending and machine digest identical to the dense chain.
+func (c *Core) skipIdle(now sim.Ticks) {
+	p := c.cfg.Clock.Period
+	next := now + p
+	limit, ok := c.eng.NextEventAt()
+	if c.stallUntil > now && (!ok || c.stallUntil < limit) {
+		limit, ok = c.stallUntil, true
+	}
+	if ok {
+		if edge := c.cfg.Clock.NextEdge(limit); edge > next {
+			next = edge
+		}
+	}
+	c.tickPending = true
+	c.eng.ArmClock(next, c.tickH, uint64((next-now)/p-1))
 }
 
 func (c *Core) streamDone() bool { return c.stream == nil && !c.hasPending }
@@ -585,11 +608,17 @@ func (c *Core) scheduleNext(now sim.Ticks) {
 		}
 		// Head incomplete. If there are unissued ops that may become ready,
 		// tick next cycle; if everything issued and waiting on memory, sleep
-		// until a load callback wakes us. (Replacing the dense tick chain
-		// with a sleep here is NOT timing-neutral: a completion landing
-		// exactly on a clock edge behind an already-queued tick event takes
-		// effect a cycle later than a fresh wake would. The idleTick fast
-		// path in tick() makes the dense chain cheap instead.)
+		// until a load callback wakes us. (Sleeping instead of keeping the
+		// tick armed while unissued ops wait would NOT be timing-neutral: a
+		// completion landing exactly on a clock edge behind an already-armed
+		// tick takes effect a cycle later than a fresh wake would. So the
+		// tick stays armed, and tick() makes the idle cycles cheap instead:
+		// skipIdle jumps to the first edge at which anything could have
+		// changed and charges the skipped ticks to the engine's sequence
+		// counter. That jump is neutral where a sleep is not — the tick it
+		// arms lands on the same edge with the same (at, seq) the dense
+		// chain's tick would have had, so every event orders against it
+		// exactly as before.)
 		if c.unissuedN > 0 {
 			c.scheduleTick(next)
 			return

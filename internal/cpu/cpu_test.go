@@ -1,10 +1,17 @@
 package cpu
 
 import (
+	"math/rand"
 	"testing"
 
 	"eventpf/internal/sim"
+	"eventpf/internal/trace"
 )
+
+// thunk is a test-local Handler that runs a closure.
+type thunk func()
+
+func (f thunk) Handle(sim.Ticks, uint64, uint64) { f() }
 
 type sliceStream struct {
 	ops []MicroOp
@@ -52,10 +59,10 @@ func (m *fixedMem) ports() Ports {
 		if m.inFlight > m.maxInFly {
 			m.maxInFly = m.inFlight
 		}
-		m.eng.After(m.latency, func() {
+		m.eng.ScheduleAfter(m.latency, thunk(func() {
 			m.inFlight--
 			h.Handle(m.eng.Now(), a, 0)
-		})
+		}), 0, 0)
 	}}
 }
 
@@ -367,5 +374,61 @@ func TestPredictableBranchesLearnt(t *testing.T) {
 	rate := float64(core.Stats.Mispredicts) / float64(core.Stats.Branches)
 	if rate > 0.10 {
 		t.Errorf("mispredict rate %.2f on a periodic pattern, want < 0.10", rate)
+	}
+}
+
+type nopSink struct{}
+
+func (nopSink) Event(trace.Event) {}
+
+// TestIdleSkipMatchesDenseChain runs one random program — dependent and
+// independent loads completing off the clock edge, mispredicting branches,
+// multiplies — twice: untraced, where idle ticks jump ahead, and with a
+// trace bus attached, which disables the jump and keeps one tick per cycle.
+// Timing, the engine's sequence counter and its final time must be
+// identical, and the untraced run must actually have skipped cycles.
+func TestIdleSkipMatchesDenseChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var ops []MicroOp
+	for i := 0; i < 3000; i++ {
+		var dep int64 = NoDep
+		if i > 0 && rng.Intn(2) == 0 {
+			dep = int64(i - 1 - rng.Intn(min(i, 30)))
+		}
+		switch r := rng.Intn(10); {
+		case r < 4:
+			ops = append(ops, loadOp(uint64(rng.Intn(1<<20))*8, dep))
+		case r < 6:
+			ops = append(ops, MicroOp{Kind: OpBranch, PC: rng.Intn(4), Taken: rng.Intn(2) == 0,
+				Deps: [2]int64{dep, NoDep}})
+		case r < 7:
+			ops = append(ops, MicroOp{Kind: OpMul, Deps: [2]int64{dep, NoDep}})
+		default:
+			ops = append(ops, intOp(dep))
+		}
+	}
+	run := func(traced bool) (Stats, sim.Ticks, uint64, int) {
+		eng := sim.NewEngine()
+		mem := &fixedMem{eng: eng, latency: 1003}
+		core := New(eng, testConfig(), mem.ports())
+		if traced {
+			core.Bus = trace.NewBus(nopSink{})
+		}
+		core.Run(&sliceStream{ops: ops}, nil)
+		steps := 0
+		for eng.Step() {
+			steps++
+		}
+		return core.Stats, eng.Now(), eng.Seq(), steps
+	}
+	skipS, skipNow, skipSeq, skipSteps := run(false)
+	denseS, denseNow, denseSeq, denseSteps := run(true)
+	if skipS != denseS || skipNow != denseNow || skipSeq != denseSeq {
+		t.Fatalf("idle skip diverged from the dense chain:\n skip  %+v now=%d seq=%d\n dense %+v now=%d seq=%d",
+			skipS, skipNow, skipSeq, denseS, denseNow, denseSeq)
+	}
+	t.Logf("engine steps: %d with idle skip, %d dense", skipSteps, denseSteps)
+	if skipSteps >= denseSteps {
+		t.Errorf("untraced run took %d engine steps, dense chain %d: no idle cycle was skipped", skipSteps, denseSteps)
 	}
 }

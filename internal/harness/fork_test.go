@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -147,6 +148,54 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	tampered := bytes.Replace(bad, []byte(`"warmup_ops": `), []byte(`"warmup_ops": 1`), 1)
 	if _, err := ResumeCheckpoint(bytes.NewReader(tampered)); err == nil {
 		t.Error("digest mismatch should fail the resume")
+	}
+}
+
+// pinnedCheckpoint is a checkpoint file as SaveCheckpoint wrote it before
+// the core's tick moved into the engine's clock slot and idle cycles began to
+// be skipped. Both changes are meant to be invisible in machine state, so
+// the digest recorded then must still verify.
+const pinnedCheckpoint = `{
+  "version": 1,
+  "job": {
+    "bench": "HJ-2",
+    "scheme": "manual",
+    "scale": 0.05,
+    "ppus": 12,
+    "ppu_mhz": 1000
+  },
+  "warmup_ops": 20000,
+  "digest": 16298728040533770211
+}`
+
+// TestCheckpointDigestPinned replays a checkpoint recorded by an earlier
+// build of the simulator: Machine.Digest at op 20 000 (time, schedule
+// sequence, pending events and the core/cache/DRAM/TLB counters) must match
+// the literal, and the resumed run must equal a straight-through run.
+func TestCheckpointDigestPinned(t *testing.T) {
+	const want = 0xe230b6cc6ab6bfe3 // == the checkpoint's decimal digest
+	b, err := workloads.ByName("HJ-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Warm(b, Manual, Options{Scale: goldenScale}, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Machine().Digest(); got != want {
+		t.Errorf("Digest() at op 20000 = %#x, want %#x", got, uint64(want))
+	}
+	resumed, err := ResumeCheckpoint(strings.NewReader(pinnedCheckpoint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	straight, err := Run(b, Manual, Options{Scale: goldenScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(t, resumed), encode(t, straight)) {
+		t.Errorf("resumed result differs from straight-through run (got %d cycles, want %d)",
+			resumed.Cycles, straight.Cycles)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"eventpf/internal/trace"
 	"eventpf/internal/workloads"
 )
 
@@ -94,6 +95,40 @@ func TestGoldenResults(t *testing.T) {
 				t.Errorf("%s under %s: result bytes differ from golden %s\n"+
 					"cycles: got %d\nsimulated behaviour changed; if intended, rerun with -update-golden",
 					gp.bench, gp.scheme, path, res.Cycles)
+			}
+		})
+	}
+}
+
+// nopSink is a trace sink that discards every event.
+type nopSink struct{}
+
+func (nopSink) Event(trace.Event) {}
+
+// TestIdleSkipMatchesTracedRun runs every golden pair untraced, where the
+// core jumps over provably idle cycles, and with a no-op trace sink, whose
+// bus disables that jump and keeps one core tick per cycle. The encoded
+// results must be byte-identical: the jump must be exact, and attaching an
+// observer must not perturb timing.
+func TestIdleSkipMatchesTracedRun(t *testing.T) {
+	for _, gp := range goldenPairs {
+		gp := gp
+		t.Run(gp.bench+"/"+gp.scheme.String(), func(t *testing.T) {
+			t.Parallel()
+			b, err := workloads.ByName(gp.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out [2][]byte
+			for i, sink := range []trace.Sink{nil, nopSink{}} {
+				res, err := Run(b, gp.scheme, Options{Scale: goldenScale, TraceSink: sink})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = encode(t, res)
+			}
+			if !bytes.Equal(out[0], out[1]) {
+				t.Errorf("untraced result differs from the traced (dense tick) run")
 			}
 		})
 	}

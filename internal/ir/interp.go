@@ -38,6 +38,12 @@ type Interp struct {
 	block *Block
 	idx   int
 
+	// phiVals/phiOps are enterBlock's scratch for reading a block's phi
+	// incomings before writing any. They carry no state between calls, so
+	// Clone leaves the fork's nil rather than sharing the parent's arrays.
+	phiVals []uint64
+	phiOps  []int64
+
 	counter *int64 // shared dynamic micro-op numbering across a core run
 
 	steps    int64
@@ -120,8 +126,7 @@ func (it *Interp) Ops() int64 { return *it.counter }
 func (it *Interp) enterBlock(from BlockID, to BlockID) {
 	b := it.fn.Block(to)
 	// Evaluate phis in parallel: read all incomings before writing any.
-	var vals []uint64
-	var ops []int64
+	vals, ops := it.phiVals[:0], it.phiOps[:0]
 	n := 0
 	for _, v := range b.Instrs {
 		in := it.fn.Instr(v)
@@ -148,6 +153,7 @@ func (it *Interp) enterBlock(from BlockID, to BlockID) {
 		it.env[v] = vals[i]
 		it.envOp[v] = ops[i]
 	}
+	it.phiVals, it.phiOps = vals, ops
 	it.block = b
 	it.idx = n
 }

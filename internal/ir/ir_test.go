@@ -95,6 +95,61 @@ func TestSumLoopFunctional(t *testing.T) {
 	}
 }
 
+// TestCloneOwnsPhiScratch forks an interpreter mid-loop, after enterBlock
+// has grown its phi scratch slices, and runs parent and fork interleaved:
+// both must finish with the same sum and micro-op stream as a straight run,
+// and the fork must never write into the parent's scratch arrays.
+func TestCloneOwnsPhiScratch(t *testing.T) {
+	fn := buildSumLoop(t)
+	bk := mem.NewBacking()
+	arr := mem.NewArena(bk).AllocWords("arr", 50)
+	for i := uint64(0); i < 50; i++ {
+		bk.Write64(arr.Base+i*8, i+1)
+	}
+	want := drain(t, NewInterp(fn, bk, nil, new(int64), arr.Base, 50))
+
+	parent := NewInterp(fn, bk, nil, new(int64), arr.Base, 50)
+	var got [2][]cpu.MicroOp
+	for i := 0; i < len(want)/3; i++ {
+		op, _ := parent.Next()
+		got[0] = append(got[0], op)
+	}
+	if cap(parent.phiVals) == 0 {
+		t.Fatal("parent never entered a block with phis before the fork")
+	}
+	counter := *parent.counter
+	fork := parent.Clone(bk, nil, &counter)
+	got[1] = append(got[1], got[0]...)
+	for done := [2]bool{}; !done[0] || !done[1]; {
+		for k, it := range []*Interp{parent, fork} {
+			if op, ok := it.Next(); ok {
+				got[k] = append(got[k], op)
+			} else {
+				done[k] = true
+			}
+		}
+	}
+	if &fork.phiVals[:1][0] == &parent.phiVals[:1][0] || &fork.phiOps[:1][0] == &parent.phiOps[:1][0] {
+		t.Error("fork shares the parent's phi scratch arrays")
+	}
+	for k, name := range []string{"parent", "fork"} {
+		if len(got[k]) != len(want) {
+			t.Fatalf("%s emitted %d ops, want %d", name, len(got[k]), len(want))
+		}
+		for i := range want {
+			g, w := got[k][i], want[i]
+			if g.Kind != w.Kind || g.PC != w.PC || g.Addr != w.Addr || g.Deps != w.Deps || g.Taken != w.Taken {
+				t.Fatalf("%s op %d = %+v, want %+v", name, i, g, w)
+			}
+		}
+	}
+	for _, it := range []*Interp{parent, fork} {
+		if sum, ok := it.Result(); !ok || sum != 50*51/2 {
+			t.Errorf("sum = %d (ok=%v), want %d", sum, ok, 50*51/2)
+		}
+	}
+}
+
 func TestLoadDependenceThreadsThroughAddress(t *testing.T) {
 	fn := buildSumLoop(t)
 	bk := mem.NewBacking()

@@ -8,6 +8,11 @@ import (
 	"eventpf/internal/sim"
 )
 
+// thunk is a test-local Handler that runs a closure.
+type thunk func()
+
+func (f thunk) Handle(sim.Ticks, uint64, uint64) { f() }
+
 // fixedLevel is a next-level stub with constant latency.
 type fixedLevel struct {
 	eng     *sim.Engine
@@ -19,7 +24,7 @@ func (f *fixedLevel) Access(req *Request) {
 	f.count++
 	if h := req.Completer(); h != nil {
 		a := req.CompA
-		f.eng.After(f.latency, func() { h.Handle(f.eng.Now()+f.latency, a, 0) })
+		f.eng.ScheduleAfter(f.latency, thunk(func() { h.Handle(f.eng.Now()+f.latency, a, 0) }), 0, 0)
 	}
 }
 

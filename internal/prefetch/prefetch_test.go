@@ -8,6 +8,11 @@ import (
 	"eventpf/internal/sim"
 )
 
+// thunk is a test-local Handler that runs a closure.
+type thunk func()
+
+func (f thunk) Handle(sim.Ticks, uint64, uint64) { f() }
+
 type stubLevel struct {
 	eng     *sim.Engine
 	latency sim.Ticks
@@ -21,7 +26,7 @@ func (s *stubLevel) Access(req *mem.Request) {
 	s.reads++
 	if h := req.Completer(); h != nil {
 		a := req.CompA
-		s.eng.After(s.latency, func() { h.Handle(s.eng.Now(), a, 0) })
+		s.eng.ScheduleAfter(s.latency, thunk(func() { h.Handle(s.eng.Now(), a, 0) }), 0, 0)
 	}
 }
 
@@ -267,7 +272,7 @@ func TestEWMALookahead(t *testing.T) {
 	// Demand loads every 100 ticks feed the interval EWMA.
 	for i := 0; i < 32; i++ {
 		addr := arr.Base + uint64(i)*8
-		f.eng.At(sim.Ticks(i)*100, func() { f.pf.onDemandLoad(addr, -1, true) })
+		f.eng.Schedule(sim.Ticks(i)*100, thunk(func() { f.pf.onDemandLoad(addr, -1, true) }), 0, 0)
 	}
 	f.eng.Run()
 	// Inject chain completion times of 1000 ticks: lookahead → 10.
@@ -400,7 +405,7 @@ func TestFlushClearsState(t *testing.T) {
 		f.demandLoad(arr.Base + uint64(i)*8)
 	}
 	// Flush mid-flight.
-	f.eng.At(100, func() { f.pf.Flush() })
+	f.eng.Schedule(100, thunk(func() { f.pf.Flush() }), 0, 0)
 	f.eng.Run()
 	if f.pf.Stats.Flushes != 1 {
 		t.Error("flush not recorded")

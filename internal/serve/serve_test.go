@@ -284,8 +284,16 @@ func TestGracefulShutdown(t *testing.T) {
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- srv.Drain(context.Background()) }()
 
-	// New work is refused while draining.
+	// New work is refused while draining. Probe only once the drain has
+	// begun: a probe that lands first is queued like any other job, and
+	// every later probe of the same spec then coalesces onto it (202).
 	deadline := time.Now().Add(5 * time.Second)
+	for !srv.m.draining.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("Drain never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		resp, _ := postJob(t, hs.URL, harness.JobSpec{Bench: "RandAcc", Scheme: "no-pf", Scale: 0.01}, "")
 		if resp.StatusCode == http.StatusServiceUnavailable {

@@ -9,11 +9,11 @@ import "testing"
 // queue depths the machine actually reaches (tens to a few thousand
 // in-flight events).
 
-func prefilled(n int) (*Engine, func()) {
+func prefilled(n int) (*Engine, thunk) {
 	e := NewEngine()
-	fn := func() {}
+	fn := thunk(func() {})
 	for i := 0; i < n; i++ {
-		e.At(Ticks(i), fn)
+		e.Schedule(Ticks(i), fn, 0, 0)
 	}
 	return e, fn
 }
@@ -26,7 +26,7 @@ func BenchmarkEnginePushPop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.After(100, fn)
+		e.ScheduleAfter(100, fn, 0, 0)
 		e.Step()
 	}
 }
@@ -40,7 +40,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.After(Ticks(1+i%97), fn)
+				e.ScheduleAfter(Ticks(1+i%97), fn, 0, 0)
 				e.Step()
 			}
 		})
@@ -52,11 +52,34 @@ func BenchmarkEngineChurn(b *testing.B) {
 // response, a PPU cycle scheduling the next).
 func BenchmarkEngineCascade(b *testing.B) {
 	e := NewEngine()
-	var kick func()
-	kick = func() { e.After(7, kick) }
+	var kick thunk
+	kick = func() { e.ScheduleAfter(7, kick, 0, 0) }
 	for i := 0; i < 32; i++ {
-		e.After(Ticks(i), kick)
+		e.ScheduleAfter(Ticks(i), kick, 0, 0)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// clockTick re-arms the clock slot one 3.2 GHz core cycle ahead, as the
+// core's tick does while it has work every cycle.
+type clockTick struct{ e *Engine }
+
+func (h clockTick) Handle(at Ticks, _, _ uint64) { h.e.ArmClock(at+5, h, 0) }
+
+// BenchmarkEngineClockedTick measures one core-style tick through the clock
+// slot with 1024 later events waiting in the heap: the tick never enters the
+// heap, so the cost is a compare against the heap minimum and a re-arm, and
+// it must report 0 allocs/op.
+func BenchmarkEngineClockedTick(b *testing.B) {
+	e, fn := NewEngine(), thunk(func() {})
+	for i := 0; i < 1024; i++ {
+		e.Schedule(1<<50+Ticks(i), fn, 0, 0)
+	}
+	e.ArmClock(0, clockTick{e}, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,10 +110,14 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 		e.Step()
 	}
 	allocs := testing.AllocsPerRun(2000, func() {
-		e.After(100, fn)
+		e.ScheduleAfter(100, fn, 0, 0)
 		e.Step()
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state push+pop allocates %v allocs/op, want 0", allocs)
+	}
+	e.ArmClock(e.Now(), clockTick{e}, 0)
+	if allocs := testing.AllocsPerRun(2000, func() { e.Step() }); allocs != 0 {
+		t.Errorf("clocked tick allocates %v allocs/op, want 0", allocs)
 	}
 }

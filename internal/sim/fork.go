@@ -35,9 +35,8 @@ func (r *Remap) Register(src, dst Handler) {
 }
 
 // Lookup translates a parent-owned handler into the fork's counterpart. nil
-// maps to nil. A handler whose dynamic type is not comparable (a closure
-// scheduled through the At/After compatibility shims, or a func-typed
-// completion callback) cannot be translated — such events are inherently
+// maps to nil. A handler whose dynamic type is not comparable (a func-typed
+// Handler wrapping a closure) cannot be translated — such events are inherently
 // bound to parent state, so forking a machine with one pending is an error
 // rather than a silent corruption. An unregistered comparable handler is an
 // error too: it means a component forgot to register its pairs.
@@ -61,12 +60,12 @@ func (r *Remap) Lookup(h Handler) (Handler, error) {
 func (e *Engine) Seq() uint64 { return e.seq }
 
 // CopyFrom makes e an exact copy of src's scheduling state — current time,
-// schedule sequence counter, and the pending event queue — with every stored
-// handler translated through remap. The queue's backing array is copied in
-// heap order, so the fork pops events in byte-identically the same order the
-// parent would have. Payload words are copied verbatim: they name slots and
-// indices in component state the caller is responsible for copying in
-// parallel.
+// schedule sequence counter, the pending event queue and the clock slot —
+// with every stored handler translated through remap. The queue's backing
+// array is copied in heap order, so the fork pops events in byte-identically
+// the same order the parent would have. Payload words are copied verbatim:
+// they name slots and indices in component state the caller is responsible
+// for copying in parallel.
 func (e *Engine) CopyFrom(src *Engine, remap *Remap) error {
 	e.now = src.now
 	e.seq = src.seq
@@ -78,5 +77,11 @@ func (e *Engine) CopyFrom(src *Engine, remap *Remap) error {
 		}
 		e.queue.ev[i].h = h
 	}
+	e.clock = src.clock
+	h, err := remap.Lookup(e.clock.h)
+	if err != nil {
+		return fmt.Errorf("clock event at t=%d: %w", e.clock.at, err)
+	}
+	e.clock.h = h
 	return nil
 }

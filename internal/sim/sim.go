@@ -64,13 +64,6 @@ type Handler interface {
 	Handle(at Ticks, a, b uint64)
 }
 
-// funcHandler adapts the legacy closure API onto the typed path. func values
-// are pointer-shaped, so the interface conversion itself does not allocate —
-// only the closure the caller already built does.
-type funcHandler func()
-
-func (f funcHandler) Handle(Ticks, uint64, uint64) { f() }
-
 type event struct {
 	at   Ticks
 	seq  uint64 // tie-break so simultaneous events run in schedule order
@@ -98,10 +91,6 @@ type eventQueue struct {
 }
 
 func (q *eventQueue) len() int { return len(q.ev) }
-
-// min returns the earliest event without removing it; the queue must be
-// non-empty.
-func (q *eventQueue) min() event { return q.ev[0] }
 
 func (q *eventQueue) push(e event) {
 	q.ev = append(q.ev, e)
@@ -146,10 +135,18 @@ func (q *eventQueue) pop() event {
 // deterministic. An Engine (and the Machine built around it) is confined to
 // one goroutine; the harness runs many engines in parallel, never one engine
 // from two goroutines.
+//
+// Beside the heap the engine holds one clock slot: a single pending event
+// for the component that ticks every cycle (the core). The slot carries its
+// own (at, seq) and Step fires it whenever it precedes the heap minimum in
+// the same (at, seq) order, so moving a recurring tick from the heap into
+// the slot changes no pop order — it only spares the tick its sift-up and
+// sift-down.
 type Engine struct {
 	now   Ticks
 	seq   uint64
 	queue eventQueue
+	clock event // the clock slot; clock.h == nil while unarmed
 }
 
 // NewEngine returns an engine with the clock at tick zero.
@@ -175,25 +172,58 @@ func (e *Engine) ScheduleAfter(d Ticks, h Handler, a, b uint64) {
 	e.Schedule(e.now+d, h, a, b)
 }
 
-// At schedules fn to run at time t. This is the closure compatibility shim
-// over Schedule: each call costs the closure allocation the caller built, so
-// hot paths should implement Handler and call Schedule instead.
-func (e *Engine) At(t Ticks, fn func()) {
-	e.Schedule(t, funcHandler(fn), 0, 0)
+// ArmClock places h.Handle(t, 0, 0) in the clock slot. The event takes the
+// sequence number Schedule would have given it after skipped earlier events
+// had been scheduled: the counter advances by skipped+1. A clocked component
+// that jumps over k−1 provably idle cycles passes skipped = k−1, so every
+// later tie-break, Seq and Pending read exactly as if each idle cycle had
+// been scheduled and run. Arming an armed slot or arming in the past panics.
+func (e *Engine) ArmClock(t Ticks, h Handler, skipped uint64) {
+	if e.clock.h != nil {
+		panic("sim: clock slot armed twice")
+	}
+	if t < e.now {
+		panic("sim: event scheduled in the past")
+	}
+	e.seq += skipped + 1
+	e.clock = event{at: t, seq: e.seq, h: h}
 }
 
-// After schedules fn to run d ticks from now.
-func (e *Engine) After(d Ticks, fn func()) { e.At(e.now+d, fn) }
-
-// Pending reports how many events are waiting to run.
-func (e *Engine) Pending() int { return e.queue.len() }
-
-// Step runs the next event, returning false if the queue is empty.
-func (e *Engine) Step() bool {
+// NextEventAt returns the time of the earliest event in the heap, ignoring
+// the clock slot; ok is false when the heap is empty.
+func (e *Engine) NextEventAt() (at Ticks, ok bool) {
 	if e.queue.len() == 0 {
+		return 0, false
+	}
+	return e.queue.ev[0].at, true
+}
+
+// Pending reports how many events are waiting to run, the clock slot
+// included.
+func (e *Engine) Pending() int {
+	if e.clock.h != nil {
+		return e.queue.len() + 1
+	}
+	return e.queue.len()
+}
+
+// clockFirst reports whether the armed clock slot precedes every heap event.
+func (e *Engine) clockFirst() bool {
+	return e.clock.h != nil && (e.queue.len() == 0 || e.clock.before(e.queue.ev[0]))
+}
+
+// Step runs the next event, returning false if none is pending.
+func (e *Engine) Step() bool {
+	var ev event
+	switch {
+	case e.clockFirst():
+		ev = e.clock
+		e.clock = event{}
+	case e.queue.len() > 0:
+		ev = e.queue.pop()
+	default:
 		return false
 	}
-	ev := e.queue.pop()
 	e.now = ev.at
 	ev.h.Handle(ev.at, ev.a, ev.b)
 	return true
@@ -207,10 +237,19 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with time ≤ t, then advances the clock to t.
 func (e *Engine) RunUntil(t Ticks) {
-	for e.queue.len() > 0 && e.queue.min().at <= t {
+	for at, ok := e.nextAt(); ok && at <= t; at, ok = e.nextAt() {
 		e.Step()
 	}
 	if e.now < t {
 		e.now = t
 	}
+}
+
+// nextAt returns the time of the event Step would run next, clock slot
+// included; ok is false when nothing is pending.
+func (e *Engine) nextAt() (Ticks, bool) {
+	if e.clockFirst() {
+		return e.clock.at, true
+	}
+	return e.NextEventAt()
 }

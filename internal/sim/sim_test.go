@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// thunk is a test-local Handler that runs a closure.
+type thunk func()
+
+func (f thunk) Handle(Ticks, uint64, uint64) { f() }
+
 func TestClockFromMHz(t *testing.T) {
 	cases := []struct {
 		mhz    int
@@ -63,7 +68,7 @@ func TestEngineOrdersByTime(t *testing.T) {
 	var got []Ticks
 	for _, at := range []Ticks{30, 10, 20} {
 		at := at
-		e.At(at, func() { got = append(got, at) })
+		e.Schedule(at, thunk(func() { got = append(got, at) }), 0, 0)
 	}
 	e.Run()
 	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
@@ -79,7 +84,7 @@ func TestEngineSameTickFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.Schedule(5, thunk(func() { got = append(got, i) }), 0, 0)
 	}
 	e.Run()
 	for i, v := range got {
@@ -92,10 +97,10 @@ func TestEngineSameTickFIFO(t *testing.T) {
 func TestEngineEventsScheduleEvents(t *testing.T) {
 	e := NewEngine()
 	var trace []Ticks
-	e.At(10, func() {
+	e.Schedule(10, thunk(func() {
 		trace = append(trace, e.Now())
-		e.After(5, func() { trace = append(trace, e.Now()) })
-	})
+		e.ScheduleAfter(5, thunk(func() { trace = append(trace, e.Now()) }), 0, 0)
+	}), 0, 0)
 	e.Run()
 	if len(trace) != 2 || trace[0] != 10 || trace[1] != 15 {
 		t.Errorf("trace = %v, want [10 15]", trace)
@@ -104,14 +109,14 @@ func TestEngineEventsScheduleEvents(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	e.Schedule(10, thunk(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.Schedule(5, thunk(func() {}), 0, 0)
+	}), 0, 0)
 	e.Run()
 }
 
@@ -120,7 +125,7 @@ func TestRunUntil(t *testing.T) {
 	ran := map[Ticks]bool{}
 	for _, at := range []Ticks{5, 10, 15} {
 		at := at
-		e.At(at, func() { ran[at] = true })
+		e.Schedule(at, thunk(func() { ran[at] = true }), 0, 0)
 	}
 	e.RunUntil(10)
 	if !ran[5] || !ran[10] || ran[15] {
@@ -154,7 +159,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		for i := 0; i < count; i++ {
 			at := Ticks(rng.Intn(1000))
 			want[i] = at
-			e.At(at, func() { got = append(got, e.Now()) })
+			e.Schedule(at, thunk(func() { got = append(got, e.Now()) }), 0, 0)
 		}
 		e.Run()
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
