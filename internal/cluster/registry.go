@@ -26,9 +26,9 @@ type workerState struct {
 
 // registry tracks live workers and the folded counters of departed ones.
 type registry struct {
-	mu       sync.Mutex
-	live     map[string]*workerState
-	departed map[string]int64 // summed counters of every ejected worker
+	mu        sync.Mutex
+	live      map[string]*workerState
+	departed  map[string]int64 // summed counters of every ejected worker
 	departedN int
 }
 

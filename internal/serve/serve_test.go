@@ -284,16 +284,8 @@ func TestGracefulShutdown(t *testing.T) {
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- srv.Drain(context.Background()) }()
 
-	// New work is refused while draining. Probe only once the drain has
-	// begun: a probe that lands first is queued like any other job, and
-	// every later probe of the same spec then coalesces onto it (202).
+	// New work is refused while draining.
 	deadline := time.Now().Add(5 * time.Second)
-	for !srv.m.draining.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("Drain never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	for {
 		resp, _ := postJob(t, hs.URL, harness.JobSpec{Bench: "RandAcc", Scheme: "no-pf", Scale: 0.01}, "")
 		if resp.StatusCode == http.StatusServiceUnavailable {
@@ -321,6 +313,53 @@ func TestGracefulShutdown(t *testing.T) {
 	// Drain is idempotent once drained.
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Errorf("second Drain: %v", err)
+	}
+}
+
+// TestDrainDedup: while draining, a duplicate of a queued job is refused
+// with 503 (the drain rejects that job, so coalescing would hand back a
+// rejection), while a duplicate of the running job still coalesces onto it.
+func TestDrainDedup(t *testing.T) {
+	srv, hs, release := blockingServer(t, Config{Workers: 1, QueueDepth: 2})
+
+	running := harness.JobSpec{Bench: "HJ-2", Scheme: "no-pf", Scale: 0.01}
+	queued := harness.JobSpec{Bench: "HJ-2", Scheme: "stride", Scale: 0.01}
+	_, srA := postJob(t, hs.URL, running, "")
+	jbA, _ := srv.lookup(srA.ID)
+	waitState(t, jbA, StateRunning)
+	_, srB := postJob(t, hs.URL, queued, "")
+	jbB, _ := srv.lookup(srB.ID)
+
+	drainErr := make(chan error, 1)
+	go func() { drainErr <- srv.Drain(context.Background()) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for !srv.m.draining.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("Drain never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if resp, _ := postJob(t, hs.URL, queued, ""); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("duplicate of queued job during drain: status %d, want 503", resp.StatusCode)
+	}
+	resp, sr := postJob(t, hs.URL, running, "")
+	if resp.StatusCode != http.StatusAccepted || !sr.Dedup || sr.ID != srA.ID {
+		t.Errorf("duplicate of running job during drain: status=%d dedup=%v id=%s (want 202 onto %s)",
+			resp.StatusCode, sr.Dedup, sr.ID, srA.ID)
+	}
+
+	release()
+	if err := <-drainErr; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if st := jbB.currentState(); st != StateRejected {
+		t.Errorf("queued job ended %s, want rejected", st)
+	}
+	m := scrapeMetrics(t, hs.URL)
+	if m["ppfserve_jobs_deduped"] != 1 || m["ppfserve_jobs_rejected_draining"] != 1 {
+		t.Errorf("deduped=%d rejected_draining=%d, want 1/1",
+			m["ppfserve_jobs_deduped"], m["ppfserve_jobs_rejected_draining"])
 	}
 }
 

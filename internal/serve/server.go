@@ -193,8 +193,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // handleSubmit admits one job: cache hit → immediate result; duplicate of
-// an in-flight job → coalesce; queue full → 429 + Retry-After; draining →
-// 503; otherwise enqueue.
+// an in-flight job → coalesce (only onto a running one while draining);
+// queue full → 429 + Retry-After; draining → 503; otherwise enqueue.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec harness.JobSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
@@ -234,7 +234,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if jb, ok := s.byKey[key]; ok {
+	// While draining, only a running job will still produce a result: a
+	// queued one is about to be rejected, so a duplicate of it gets 503
+	// like new work rather than coalescing onto a doomed job.
+	if jb, ok := s.byKey[key]; ok && (!s.draining || jb.currentState() == StateRunning) {
 		s.m.deduped.Add(1)
 		s.mu.Unlock()
 		s.respondMaybeWait(w, r, jb, submitResponse{ID: jb.ID, Key: key, State: jb.currentState(), Dedup: true})

@@ -87,6 +87,26 @@ func BenchmarkEngineClockedTick(b *testing.B) {
 	}
 }
 
+// heapTick is clockTick scheduled through the heap instead of the slot.
+type heapTick struct{ e *Engine }
+
+func (h heapTick) Handle(at Ticks, _, _ uint64) { h.e.Schedule(at+5, h, 0, 0) }
+
+// BenchmarkEngineHeapTick is BenchmarkEngineClockedTick's reference: the
+// same tick at the same heap depth, paying a push and a pop per cycle.
+func BenchmarkEngineHeapTick(b *testing.B) {
+	e, fn := NewEngine(), thunk(func() {})
+	for i := 0; i < 1024; i++ {
+		e.Schedule(1<<50+Ticks(i), fn, 0, 0)
+	}
+	e.Schedule(0, heapTick{e}, 0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
